@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.h"
+#include "common/fnv.h"
 #include "mesh/generator.h"
+#include "mesh/soil_model.h"
 
 namespace
 {
@@ -221,6 +224,69 @@ TEST(Generator, PeriodHalvingMultipliesNodes)
                           static_cast<double>(sf20.mesh.numNodes());
     EXPECT_GT(growth, 2.5);
     EXPECT_LT(growth, 12.0);
+}
+
+/**
+ * Digest of everything refinement and jitter decide: every node
+ * coordinate, every tet's vertex array in element order, and the
+ * refiner's report.
+ */
+std::uint64_t
+outputFingerprint(const TetMesh &mesh, const RefineReport &report)
+{
+    quake::common::Fnv1aHasher h;
+    h.vec(mesh.nodes()).vec(mesh.tets());
+    h.value(report.passes)
+        .value(report.splits)
+        .value(report.reachedElementCap)
+        .value(report.reachedPassCap);
+    return h.digest();
+}
+
+std::uint64_t
+generatedFingerprint(const GeneratedMesh &g)
+{
+    return outputFingerprint(g.mesh, g.refineReport);
+}
+
+std::uint64_t
+cappedLatticeFingerprint(const RefineOptions &options)
+{
+    TetMesh mesh = buildKuhnLattice(Aabb{{0, 0, 0}, {1, 1, 1}}, 1, 1, 1);
+    const RefineReport report = refineToSizeField(
+        mesh, [](const Vec3 &) { return 0.05; }, options);
+    return outputFingerprint(mesh, report);
+}
+
+// The generator's output is pinned bit for bit: any change to the
+// refiner, the jitter pass or the size field that moves a single node,
+// reorders a single element or changes a split count shows up here.
+// The constants hold for IEEE-754 double arithmetic without FMA
+// contraction (the mesh library is never built with -march=native).
+TEST(Generator, OutputFingerprintPinned)
+{
+    EXPECT_EQ(generatedFingerprint(generateSfMesh(SfClass::kSf20)),
+              0x826037b388c2e76eULL);
+    EXPECT_EQ(generatedFingerprint(generateSfMesh(SfClass::kSf10)),
+              0x4f0365a6c85d935bULL);
+    EXPECT_EQ(generatedFingerprint(generateSfMesh(SfClass::kSf5)),
+              0xedefa333bf95cbcfULL);
+    EXPECT_EQ(generatedFingerprint(generateSfMesh(SfClass::kSf5, 1.3)),
+              0x5e4244ccc16e9e68ULL);
+
+    MeshSpec multi;
+    multi.periodSeconds = 10.0;
+    EXPECT_EQ(generatedFingerprint(
+                  generateMesh(MultiBasinModel::threeBasins(), multi)),
+              0x5a0fcb3099c2ac9fULL);
+
+    RefineOptions element_cap;
+    element_cap.maxElements = 40;
+    EXPECT_EQ(cappedLatticeFingerprint(element_cap), 0xf97018d4f4c984dcULL);
+
+    RefineOptions pass_cap;
+    pass_cap.maxPasses = 2;
+    EXPECT_EQ(cappedLatticeFingerprint(pass_cap), 0x382b69c8e5472f27ULL);
 }
 
 } // namespace
