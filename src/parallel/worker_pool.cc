@@ -81,21 +81,24 @@ WorkerPool::workerLoop(int tid)
         const std::function<void(int)> *task;
         {
             std::unique_lock<std::mutex> lock(mu_);
-            // Time parked between dispatches (wake latency + idle) —
-            // the ISSUE's spin-wait accounting.  tele_ is read under
-            // the same mutex setCollector takes.
+            // Time parked between dispatches (wake latency + idle).
+            // tele_ is read under the same mutex setCollector takes,
+            // and read again after the wait: the collector may have
+            // been detached and destroyed while this worker slept, so
+            // the pointer seen before the wait must not be used after
+            // it.  A wake for shutdown records nothing.
             telemetry::Collector *tele =
                 tele_ != nullptr && tele_->enabled() ? tele_ : nullptr;
-            const int slot = worker_base_ + tid;
             const std::uint64_t wait0 =
                 tele != nullptr ? tele->now() : 0;
             cv_start_.wait(lock,
                            [&] { return stop_ || epoch_ != seen; });
-            if (tele != nullptr)
-                tele->add(slot, telemetry::Counter::kWorkerWaitNanos,
-                          tele->now() - wait0);
             if (stop_)
                 return;
+            if (tele != nullptr && tele == tele_)
+                tele->add(worker_base_ + tid,
+                          telemetry::Counter::kWorkerWaitNanos,
+                          tele->now() - wait0);
             seen = epoch_;
             task = task_;
         }

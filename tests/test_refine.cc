@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for graded conforming refinement: size-field satisfaction,
- * conformity (no hanging nodes), volume conservation, and cap handling.
+ * conformity (no hanging nodes), volume conservation, cap handling, and
+ * one size-field evaluation per element.
  */
 
 #include <gtest/gtest.h>
@@ -181,6 +182,24 @@ TEST(Refine, QualityStaysBounded)
     // Longest-edge bisection with Rivara propagation keeps shapes from
     // collapsing; 0.02 is far above degenerate but below pristine.
     EXPECT_GT(min_q, 0.02);
+}
+
+TEST(Refine, SizeFieldEvaluatedOncePerElement)
+{
+    // Node positions never move during refinement, so each element needs
+    // one size test: the input elements plus the two children of every
+    // bisection.  A per-pass re-evaluation would call h far more often.
+    TetMesh mesh = unitLattice(2);
+    const std::int64_t initial = mesh.numElements();
+    std::int64_t calls = 0;
+    const RefineReport report =
+        refineToSizeField(mesh, [&calls](const Vec3 &p) {
+            ++calls;
+            return 0.08 + 0.6 * p.x;
+        });
+    EXPECT_GT(report.passes, 2);
+    EXPECT_GT(report.splits, 0);
+    EXPECT_LE(calls, initial + 2 * report.splits);
 }
 
 // Parameterized: the refinement postcondition holds across size targets.

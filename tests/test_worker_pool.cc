@@ -5,12 +5,15 @@
  * thousands of timesteps against one pool), the size-1 pool runs
  * inline without spawning threads, hardwareThreads() respects the
  * process affinity mask, and advisory pinning counts failures instead
- * of aborting (DESIGN.md §13).
+ * of aborting (DESIGN.md §13), and a collector may be detached and
+ * destroyed before the pool that reported into it.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -20,6 +23,7 @@
 
 #include "parallel/topology.h"
 #include "parallel/worker_pool.h"
+#include "telemetry/collector.h"
 
 namespace
 {
@@ -179,6 +183,55 @@ TEST(WorkerPool, JoinIsABarrier)
         for (int v : slots)
             EXPECT_EQ(v, round);
     }
+}
+
+// Clock for the detach test: counts reads, and separately the reads
+// made after the collector that owns it was destroyed.
+std::atomic<int> g_clock_reads{0};
+std::atomic<bool> g_collector_gone{false};
+std::atomic<int> g_reads_after_gone{0};
+
+std::uint64_t
+countingClock()
+{
+    if (g_collector_gone.load())
+        g_reads_after_gone.fetch_add(1);
+    return static_cast<std::uint64_t>(g_clock_reads.fetch_add(1) + 1);
+}
+
+TEST(WorkerPool, CollectorDetachedAndDestroyedBeforePool)
+{
+    // Regression: a parked worker used to keep the collector pointer it
+    // read before waiting and, when woken by the pool's destructor,
+    // charged its wait time to a collector that had already been
+    // detached and freed.  Four explicit workers give real threads on
+    // any host, including one with a single CPU.
+    quake::telemetry::CollectorConfig config;
+    config.spanCapacity = 16;
+    config.now = &countingClock;
+    auto collector = std::make_unique<quake::telemetry::Collector>(config);
+    auto pool = std::make_unique<WorkerPool>(4);
+    pool->setCollector(collector.get());
+
+    std::atomic<int> total{0};
+    pool->run([&](int) { total++; });
+    EXPECT_EQ(total.load(), 4);
+
+    // run() reads the clock twice; each worker reads it once more, under
+    // the pool lock, just before it parks again.  Wait until all four
+    // are parked holding the collector pointer.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (g_clock_reads.load() < 2 + 4 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+    EXPECT_GE(g_clock_reads.load(), 2 + 4);
+
+    pool->setCollector(nullptr);
+    collector.reset();
+    g_collector_gone.store(true);
+    pool.reset(); // wakes the parked workers for shutdown
+    EXPECT_EQ(g_reads_after_gone.load(), 0);
 }
 
 } // namespace
