@@ -27,7 +27,9 @@ Bcsr3Matrix buildStiffnessPattern(const mesh::TetMesh &mesh);
 /**
  * Assemble the global stiffness matrix.  Material at each element is
  * sampled from `model` at the element centroid with the given Poisson
- * ratio.  The result is symmetric positive semidefinite.
+ * ratio.  The result is symmetric positive semidefinite.  A block row
+ * wider than 65,536 blocks (a node with more than 65,535 neighbours)
+ * is refused with a FatalError naming the node.
  */
 Bcsr3Matrix assembleStiffness(const mesh::TetMesh &mesh,
                               const mesh::SoilModel &model,
