@@ -51,21 +51,18 @@ namespace
 std::uint64_t
 hashMatrix(const sparse::Bcsr3Matrix &k, std::uint64_t h)
 {
-    h = common::fnv1aVector(k.xadj(), h);
-    h = common::fnv1aVector(k.blockCols(), h);
+    h = common::fnv1aWordsVector(k.xadj(), h);
+    h = common::fnv1aWordsVector(k.blockCols(), h);
     if (k.numBlocks() > 0)
-        h = common::fnv1a(k.blockAt(0),
-                          static_cast<std::size_t>(9 * k.numBlocks()) *
-                              sizeof(double),
-                          h);
+        h = common::fnv1aWords(k.blockAt(0),
+                               static_cast<std::size_t>(9 * k.numBlocks()) *
+                                   sizeof(double),
+                               h);
     return h;
 }
 
-/**
- * The config fingerprint (DESIGN.md §11): everything that determines
- * the trajectory's bit pattern, so a checkpoint can never silently
- * resume against the wrong mesh, partition, or matrix.
- */
+} // namespace
+
 std::uint64_t
 computeFingerprint(const mesh::TetMesh &mesh,
                    const SimulationConfig &config, double dt,
@@ -75,8 +72,8 @@ computeFingerprint(const mesh::TetMesh &mesh,
                    const parallel::DistributedProblem *problem)
 {
     std::uint64_t h = common::kFnvOffsetBasis;
-    h = common::fnv1aVector(mesh.nodes(), h);
-    h = common::fnv1aVector(mesh.tets(), h);
+    h = common::fnv1aWordsVector(mesh.nodes(), h);
+    h = common::fnv1aWordsVector(mesh.tets(), h);
     h = common::fnv1aValue(config.numPes, h);
     // The backend changes trajectory bits (ULP-level kernel
     // differences), so it is part of the trajectory identity —
@@ -85,21 +82,19 @@ computeFingerprint(const mesh::TetMesh &mesh,
     h = common::fnv1aValue(config.poisson, h);
     h = common::fnv1aValue(config.dampingA0, h);
     h = common::fnv1aValue(dt, h);
-    h = common::fnv1aVector(mass, h);
+    h = common::fnv1aWordsVector(mass, h);
     h = common::fnv1aValue(source.node, h);
     h = common::fnv1aValue(source.direction, h);
     h = common::fnv1aValue(source.wavelet, h);
     if (global_k != nullptr)
         h = hashMatrix(*global_k, h);
     if (problem != nullptr) {
-        h = common::fnv1aVector(problem->partition.elementPart, h);
+        h = common::fnv1aWordsVector(problem->partition.elementPart, h);
         for (const parallel::Subdomain &sub : problem->subdomains)
             h = hashMatrix(sub.stiffness, h);
     }
     return h;
 }
-
-} // namespace
 
 SimulationEngine
 makeSimulationEngine(const mesh::TetMesh &mesh,

@@ -253,6 +253,22 @@ struct EnginePrefix
 };
 
 /**
+ * The engine's config fingerprint (DESIGN.md §11): everything that
+ * determines the trajectory's bit pattern, so a checkpoint can never
+ * silently resume against the wrong mesh, partition, or matrix.  The
+ * bulk arrays (mesh nodes and tets, mass, the partition, and every
+ * matrix's xadj, block columns and values) are folded by 8-byte words
+ * (common::fnv1aWords); the scalars byte by byte.  Exactly one of
+ * `global_k` (sequential) and `problem` (distributed) is non-null.
+ */
+std::uint64_t computeFingerprint(const mesh::TetMesh &mesh,
+                                 const SimulationConfig &config, double dt,
+                                 const std::vector<double> &mass,
+                                 const PointSource &source,
+                                 const sparse::Bcsr3Matrix *global_k,
+                                 const parallel::DistributedProblem *problem);
+
+/**
  * Assemble and bind the engine for `mesh`/`model` per `config`
  * (validated on entry): stable dt, lumped mass, stiffness (global or
  * distributed over config.numPes geometric-bisection parts), fused

@@ -51,13 +51,17 @@ appendBytes(std::vector<std::uint8_t> &out, const void *p, std::size_t n)
     out.insert(out.end(), b, b + n);
 }
 
-/** Append one section: tag u32 | payload len u64 | FNV-1a u64 | payload. */
+/**
+ * Append one section: tag u32 | payload len u64 | checksum u64 |
+ * payload.  The checksum is FNV-1a folded by 8-byte words
+ * (common::fnv1aWords), the rule for every bulk hash.
+ */
 void
 appendSection(std::vector<std::uint8_t> &out, std::uint32_t tag,
               const void *payload, std::size_t n)
 {
     const std::uint64_t len = n;
-    const std::uint64_t sum = common::fnv1a(payload, n);
+    const std::uint64_t sum = common::fnv1aWords(payload, n);
     appendBytes(out, &tag, sizeof(tag));
     appendBytes(out, &len, sizeof(len));
     appendBytes(out, &sum, sizeof(sum));
@@ -144,7 +148,7 @@ readSection(Reader &r, std::uint32_t expect_tag, std::uint64_t &len,
     r.read(&len, sizeof(len), "section header");
     r.read(&sum, sizeof(sum), "section header");
     const std::uint8_t *payload = r.peek(len, sectionName(tag));
-    const std::uint64_t actual = common::fnv1a(payload, len);
+    const std::uint64_t actual = common::fnv1aWords(payload, len);
     QUAKE_EXPECT(actual == sum,
                  "checkpoint section " << sectionName(tag)
                                        << " checksum mismatch in "
@@ -362,8 +366,8 @@ stateFingerprint(const Checkpoint &ckpt)
 {
     std::uint64_t h = common::kFnvOffsetBasis;
     h = common::fnv1aValue(ckpt.state.steps, h);
-    h = common::fnv1aVector(ckpt.state.u, h);
-    h = common::fnv1aVector(ckpt.state.up, h);
+    h = common::fnv1aWordsVector(ckpt.state.u, h);
+    h = common::fnv1aWordsVector(ckpt.state.up, h);
     h = common::fnv1aValue(ckpt.state.partials.peak, h);
     h = common::fnv1aValue(ckpt.state.partials.energy, h);
     h = common::fnv1aValue(ckpt.reportPeak, h);

@@ -30,8 +30,14 @@
 namespace quake::resilience
 {
 
-/** Format version; bumped on any layout change. */
-constexpr std::uint32_t kCheckpointVersion = 1;
+/**
+ * Format version; bumped on any layout change, and whenever the engine
+ * fingerprint or the section checksums are computed differently, so an
+ * older file is refused as a version skew rather than a bare mismatch.
+ * Version 2: section checksums and the bulk arrays of the engine
+ * fingerprint are folded by 8-byte words.
+ */
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 /** In-memory image of one checkpoint. */
 struct Checkpoint
@@ -85,9 +91,10 @@ void requireCompatible(const Checkpoint &ckpt,
 
 /**
  * FNV-1a fingerprint of the resumable state (step index, u, u_prev,
- * cached stats, report prefix).  Two runs with equal state fingerprints
- * at the same step are bitwise identical continuations; printed by the
- * CLI so the kill/resume smoke can compare runs textually.
+ * cached stats, report prefix; u and u_prev are folded by 8-byte
+ * words).  Two runs with equal state fingerprints at the same step are
+ * bitwise identical continuations; printed by the CLI so the
+ * kill/resume smoke can compare runs textually.
  */
 std::uint64_t stateFingerprint(const Checkpoint &ckpt);
 

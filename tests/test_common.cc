@@ -323,6 +323,41 @@ TEST(Fnv1aHasher, SingleValueSensitivity)
     EXPECT_NE(a.digest(), b.digest());
 }
 
+using quake::common::fnv1aWords;
+
+TEST(Fnv1aWords, ShortInputIsByteWise)
+{
+    // Under one word there is only the byte-wise tail.
+    EXPECT_EQ(fnv1aWords("abc", 3), 0xe16801510db89efdULL);
+    EXPECT_EQ(fnv1aWords("abcdefg", 7), fnv1a("abcdefg", 7));
+}
+
+TEST(Fnv1aWords, SeesEveryBitIncludingTheTail)
+{
+    // Two words and a three-byte tail: flipping any one bit of any byte
+    // changes the digest.
+    unsigned char buf[19];
+    for (std::size_t i = 0; i < sizeof(buf); ++i)
+        buf[i] = static_cast<unsigned char>(17 * i + 3);
+    const std::uint64_t h0 = fnv1aWords(buf, sizeof(buf));
+    EXPECT_NE(h0, fnv1a(buf, sizeof(buf)));
+    for (std::size_t i = 0; i < sizeof(buf); ++i)
+        for (int bit = 0; bit < 8; ++bit) {
+            buf[i] ^= static_cast<unsigned char>(1u << bit);
+            EXPECT_NE(fnv1aWords(buf, sizeof(buf)), h0)
+                << "byte " << i << " bit " << bit;
+            buf[i] ^= static_cast<unsigned char>(1u << bit);
+        }
+}
+
+TEST(Fnv1aWords, VectorLengthPrefixPreventsAliasing)
+{
+    const std::vector<double> one{1, 2, 3}, two{1, 2}, three{3};
+    EXPECT_NE(quake::common::fnv1aWordsVector(one),
+              quake::common::fnv1aWordsVector(
+                  three, quake::common::fnv1aWordsVector(two)));
+}
+
 // ------------------------------------------------------------ engine_cli
 
 using quake::common::EngineCliOptions;

@@ -27,6 +27,7 @@
 #include "quake/time_stepper.h"
 #include "resilience/checkpoint.h"
 #include "resilience/supervisor.h"
+#include "sparse/assembly.h"
 
 namespace
 {
@@ -376,6 +377,77 @@ TEST(EngineFingerprint, ExcludesExecutionKnobsIncludesPhysics)
     EXPECT_NE(
         sim::makeSimulationEngine(lat.mesh, lat.model, cfg).fingerprint,
         h0);
+}
+
+/** `m` with bit `bit` of vertex `vertex` of element `t` flipped. */
+mesh::TetMesh
+withTetBitFlipped(const mesh::TetMesh &m, mesh::TetId t, int vertex,
+                  int bit)
+{
+    mesh::TetMesh out;
+    for (const mesh::Vec3 &p : m.nodes())
+        out.addNode(p);
+    for (mesh::TetId e = 0; e < m.numElements(); ++e) {
+        mesh::Tet tet = m.tet(e);
+        if (e == t)
+            tet.v[vertex] ^= 1 << bit;
+        out.addTet(tet.v[0], tet.v[1], tet.v[2], tet.v[3]);
+    }
+    return out;
+}
+
+TEST(EngineFingerprint, SeesEveryBulkWord)
+{
+    // The bulk arrays are folded by 8-byte words: a one-bit change in
+    // the first word, the last word, or a trailing partial word of any
+    // of them must still move the fingerprint.
+    const Lattice lat;
+    mesh::TetMesh m = lat.mesh;
+    sim::SimulationConfig config;
+    sparse::Bcsr3Matrix k = sparse::assembleStiffness(m, lat.model);
+    std::vector<double> mass = sparse::assembleLumpedMass(m, lat.model);
+    const sim::PointSource source;
+    const double dt = 1e-3;
+    const auto fingerprint = [&](const mesh::TetMesh &mesh,
+                                 const sparse::Bcsr3Matrix &matrix) {
+        return sim::computeFingerprint(mesh, config, dt, mass, source,
+                                       &matrix, nullptr);
+    };
+    const std::uint64_t h0 = fingerprint(m, k);
+
+    // Flip one bit of byte `byte` at `base`, expect a new digest, and
+    // restore it.
+    const auto expectSeen = [&](void *base, std::size_t byte,
+                                const char *what) {
+        auto *b = static_cast<unsigned char *>(base);
+        b[byte] ^= 0x10;
+        EXPECT_NE(fingerprint(m, k), h0) << what << " byte " << byte;
+        b[byte] ^= 0x10;
+        EXPECT_EQ(fingerprint(m, k), h0) << what << " byte " << byte;
+    };
+    const std::size_t k_bytes =
+        static_cast<std::size_t>(9 * k.numBlocks()) * sizeof(double);
+    for (std::size_t byte : {std::size_t{0}, std::size_t{7},
+                             k_bytes / 2 + 3, k_bytes - 8, k_bytes - 1})
+        expectSeen(k.blockAt(0), byte, "K value");
+    const std::size_t mass_bytes = mass.size() * sizeof(double);
+    for (std::size_t byte : {std::size_t{0}, mass_bytes - 1})
+        expectSeen(mass.data(), byte, "mass");
+    expectSeen(&m.node(0).x, 0, "first node coordinate");
+    expectSeen(&m.node(static_cast<mesh::NodeId>(m.numNodes() - 1)).z, 7,
+               "last node coordinate");
+
+    const auto last_tet = static_cast<mesh::TetId>(m.numElements() - 1);
+    EXPECT_NE(fingerprint(withTetBitFlipped(m, 0, 0, 0), k), h0);
+    EXPECT_NE(fingerprint(withTetBitFlipped(m, last_tet, 3, 4), k), h0);
+
+    // An odd number of int32 block columns leaves a 4-byte tail after
+    // the last full word; a one-bit change there is seen too.
+    const auto with_last_col = [](std::int32_t last) {
+        return sparse::Bcsr3Matrix(4, {0, 1, 2, 3, 5}, {0, 1, 2, 0, last});
+    };
+    EXPECT_NE(fingerprint(m, with_last_col(2)),
+              fingerprint(m, with_last_col(3)));
 }
 
 TEST(EngineFingerprint, RequireCompatibleRefusesMismatch)
