@@ -73,9 +73,7 @@ main(int argc, char **argv)
               << ", logical PEs: " << pes << "\n\n";
 
     // --- Sequential kernel suite + autotuner. ---
-    spark::KernelSuite suite(m, model);
-    if (threads > 0)
-        suite.setThreads(threads);
+    const spark::KernelSuite suite(m, model);
     const spark::AutotuneResult tuned = suite.autotune(reps);
 
     std::vector<bench::BenchJsonRecord> records;

@@ -83,8 +83,7 @@ bytesPerSmvp(const spark::KernelSuite &suite, spark::Kernel kernel)
         return 12.0 * static_cast<double>(m.nnz()) + // 8B value + 4B col
                8.0 * (dof + 1) + xy_stream;          // xadj
       }
-      case spark::Kernel::kBcsr3:
-      case spark::Kernel::kThreaded: {
+      case spark::Kernel::kBcsr3: {
         const sparse::Bcsr3Matrix &m = suite.bcsr();
         // 72B of values + 4B block column per 3x3 block.
         return 76.0 * static_cast<double>(m.numBlocks()) +
@@ -97,15 +96,13 @@ bytesPerSmvp(const spark::KernelSuite &suite, spark::Kernel kernel)
                8.0 * (dof + 1) + xy_stream + y_rmw;
       }
       case spark::Kernel::kSymBcsr3:
-      case spark::Kernel::kSymBcsr3Mt:
       case spark::Kernel::kSymBcsr3Simd: {
         const sparse::SymBcsr3Matrix &m = suite.symBcsr();
         return 76.0 * static_cast<double>(m.storedBlocks()) +
                8.0 * static_cast<double>(m.numBlockRows() + 1) +
                xy_stream + y_rmw;
       }
-      case spark::Kernel::kSlicedEll3:
-      case spark::Kernel::kSlicedEll3Mt: {
+      case spark::Kernel::kSlicedEll3: {
         const sparse::SlicedEll3Matrix &m = suite.slicedEll();
         // Every stored slot (structural + padding) is streamed: 72B of
         // element planes + 4B column.  Lane row map and slice bases
@@ -123,13 +120,9 @@ bytesPerSmvp(const spark::KernelSuite &suite, spark::Kernel kernel)
 double
 paddingRatioOf(const spark::KernelSuite &suite, spark::Kernel kernel)
 {
-    switch (kernel) {
-      case spark::Kernel::kSlicedEll3:
-      case spark::Kernel::kSlicedEll3Mt:
-        return suite.slicedEll().paddingRatio();
-      default:
-        return 1.0;
-    }
+    return kernel == spark::Kernel::kSlicedEll3
+               ? suite.slicedEll().paddingRatio()
+               : 1.0;
 }
 
 void
@@ -147,33 +140,7 @@ runKernelBench(benchmark::State &state, const std::string &label,
     double seconds = 0.0;
     for (auto _ : state) {
         const auto t0 = std::chrono::steady_clock::now();
-        switch (kernel) {
-          case spark::Kernel::kCsr:
-            sparse::smvpCsr(suite.csr(), x.data(), y.data());
-            break;
-          case spark::Kernel::kBcsr3:
-            sparse::smvpBcsr3(suite.bcsr(), x.data(), y.data());
-            break;
-          case spark::Kernel::kSym:
-            sparse::smvpSym(suite.sym(), x.data(), y.data());
-            break;
-          case spark::Kernel::kSymBcsr3:
-            suite.symBcsr().multiply(x.data(), y.data());
-            break;
-          case spark::Kernel::kSymBcsr3Simd:
-            suite.symBcsr().multiplySimd(x.data(), y.data());
-            break;
-          case spark::Kernel::kSlicedEll3:
-            suite.slicedEll().multiply(x.data(), y.data());
-            break;
-          case spark::Kernel::kThreaded:
-          case spark::Kernel::kSymBcsr3Mt:
-          case spark::Kernel::kSlicedEll3Mt:
-            // Pool-backed kernels go through the suite (which owns the
-            // persistent worker pool and the padded scratch slabs).
-            y = suite.run(kernel, x);
-            break;
-        }
+        suite.multiply(kernel, x.data(), y.data());
         benchmark::DoNotOptimize(y.data());
         benchmark::ClobberMemory();
         seconds +=
@@ -239,17 +206,14 @@ QUAKE_TF_BENCH(sf10_csr, kSf10, kCsr);
 QUAKE_TF_BENCH(sf10_bcsr3, kSf10, kBcsr3);
 QUAKE_TF_BENCH(sf10_sym, kSf10, kSym);
 QUAKE_TF_BENCH(sf10_bcsr3sym, kSf10, kSymBcsr3);
-QUAKE_TF_BENCH(sf10_bcsr3sym_mt, kSf10, kSymBcsr3Mt);
 QUAKE_TF_BENCH(sf10_bcsr3sym_simd, kSf10, kSymBcsr3Simd);
 QUAKE_TF_BENCH(sf10_ell3, kSf10, kSlicedEll3);
-QUAKE_TF_BENCH(sf10_ell3_mt, kSf10, kSlicedEll3Mt);
 QUAKE_TF_BENCH(sf5_csr, kSf5, kCsr);
 QUAKE_TF_BENCH(sf5_bcsr3, kSf5, kBcsr3);
 QUAKE_TF_BENCH(sf5_sym, kSf5, kSym);
 QUAKE_TF_BENCH(sf5_bcsr3sym, kSf5, kSymBcsr3);
 QUAKE_TF_BENCH(sf5_bcsr3sym_simd, kSf5, kSymBcsr3Simd);
 QUAKE_TF_BENCH(sf5_ell3, kSf5, kSlicedEll3);
-QUAKE_TF_BENCH(sf5_ell3_mt, kSf5, kSlicedEll3Mt);
 
 namespace
 {

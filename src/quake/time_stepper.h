@@ -38,9 +38,10 @@ using SmvpFn =
  * A pluggable fused step backend: run the SMVP with su.u as x, apply
  * `su` to every DOF the moment its K u value is final (writing u_{n+1}
  * into su.up), and return the peak/energy partials over all DOFs.
- * Bound to Bcsr3Matrix::multiplyFusedStep, ParallelSmvp::stepFused, or
- * spark::FusedStepKernel::step; must produce u_{n+1} bitwise identical
- * to the unfused SMVP + reference update triad (DESIGN.md §8).
+ * Bound to Bcsr3Matrix::multiplyFusedStep, SlicedEll3Matrix::
+ * multiplyFusedStep, or ParallelSmvp::stepFused; must produce u_{n+1}
+ * bitwise identical to the unfused SMVP + reference update triad
+ * (DESIGN.md §8).
  */
 using FusedStepFn =
     std::function<sparse::StepPartials(const sparse::StepUpdate &su)>;

@@ -1,9 +1,8 @@
 #include "spark/kernels.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <iterator>
+#include <utility>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -12,45 +11,6 @@
 namespace quake::spark
 {
 
-namespace
-{
-
-/** Doubles per 64-byte cache line, for padding accumulator slabs. */
-constexpr std::int64_t kDoublesPerCacheLine = 8;
-
-/** Round n up to a whole number of cache lines. */
-std::int64_t
-padToCacheLine(std::int64_t n)
-{
-    return (n + kDoublesPerCacheLine - 1) / kDoublesPerCacheLine *
-           kDoublesPerCacheLine;
-}
-
-/**
- * nnz-balanced block-row cuts for `chunks` workers: chunk c covers the
- * block rows whose xadj crosses c/chunks of the total block count.
- */
-std::vector<std::int64_t>
-balancedRowCuts(const std::vector<std::int64_t> &xadj,
-                std::int64_t num_rows, int chunks)
-{
-    const std::int64_t total = num_rows > 0 ? xadj[num_rows] : 0;
-    std::vector<std::int64_t> cut(static_cast<std::size_t>(chunks) + 1);
-    cut[0] = 0;
-    for (int c = 1; c < chunks; ++c) {
-        const std::int64_t target = total * c / chunks;
-        cut[c] = std::lower_bound(xadj.begin(),
-                                  xadj.begin() + num_rows + 1, target) -
-                 xadj.begin();
-        cut[c] = std::min<std::int64_t>(cut[c], num_rows);
-        cut[c] = std::max(cut[c], cut[c - 1]);
-    }
-    cut[chunks] = num_rows;
-    return cut;
-}
-
-} // namespace
-
 std::string
 kernelName(Kernel kernel)
 {
@@ -58,125 +18,11 @@ kernelName(Kernel kernel)
       case Kernel::kCsr: return "smv-csr";
       case Kernel::kBcsr3: return "smv-bcsr3";
       case Kernel::kSym: return "smv-sym";
-      case Kernel::kThreaded: return "smv-threaded";
       case Kernel::kSymBcsr3: return "smv-bcsr3sym";
-      case Kernel::kSymBcsr3Mt: return "smv-bcsr3sym-mt";
       case Kernel::kSlicedEll3: return "smv-ell3";
-      case Kernel::kSlicedEll3Mt: return "smv-ell3-mt";
       case Kernel::kSymBcsr3Simd: return "smv-bcsr3sym-simd";
     }
     QUAKE_PANIC("unknown kernel");
-}
-
-void
-smvpThreaded(const sparse::Bcsr3Matrix &a, const double *x, double *y,
-             parallel::WorkerPool &pool)
-{
-    if (pool.size() == 1 || a.numBlockRows() < 2) {
-        a.multiply(x, y);
-        return;
-    }
-    const std::vector<std::int64_t> cut =
-        balancedRowCuts(a.xadj(), a.numBlockRows(), pool.size());
-    pool.run([&](int tid) {
-        a.multiplyRows(x, y, cut[tid], cut[tid + 1]);
-    });
-}
-
-void
-smvpSymBcsr3Threaded(const sparse::SymBcsr3Matrix &a, const double *x,
-                     double *y, parallel::WorkerPool &pool,
-                     std::vector<double> &scratch)
-{
-    if (pool.size() == 1 || a.numBlockRows() < 2) {
-        a.multiply(x, y);
-        return;
-    }
-    const int workers = pool.size();
-    const std::int64_t n = a.numRows();
-
-    // One padded slab per worker so adjacent slabs never share a cache
-    // line — the symmetric scatter writes all over its slab, and false
-    // sharing between workers would serialize exactly the hot path.
-    const std::int64_t slab = padToCacheLine(n);
-    scratch.assign(static_cast<std::size_t>(slab) * workers, 0.0);
-
-    const std::vector<std::int64_t> cut =
-        balancedRowCuts(a.xadj(), a.numBlockRows(), workers);
-    pool.run([&](int tid) {
-        a.multiplyRowsScatter(x, scratch.data() + slab * tid, cut[tid],
-                              cut[tid + 1]);
-    });
-
-    // Deterministic reduction: y[j] = sum over workers in ascending tid
-    // order, each reducer owning a disjoint range of j.
-    const std::int64_t per =
-        (n + workers - 1) / workers;
-    pool.run([&](int tid) {
-        const std::int64_t lo = std::min<std::int64_t>(tid * per, n);
-        const std::int64_t hi =
-            std::min<std::int64_t>(lo + per, n);
-        for (std::int64_t j = lo; j < hi; ++j) {
-            double acc = 0.0;
-            for (int w = 0; w < workers; ++w)
-                acc += scratch[slab * w + j];
-            y[j] = acc;
-        }
-    });
-}
-
-void
-smvpSlicedEll3Threaded(const sparse::SlicedEll3Matrix &a, const double *x,
-                       double *y, parallel::WorkerPool &pool)
-{
-    if (pool.size() == 1 || a.numSlices() < 2) {
-        a.multiply(x, y);
-        return;
-    }
-    // Stored-block-balanced slice cuts: sliceBases() is the slot-count
-    // prefix over slices, exactly the shape balancedRowCuts expects.
-    const std::vector<std::int64_t> cut =
-        balancedRowCuts(a.sliceBases(), a.numSlices(), pool.size());
-    pool.run([&](int tid) {
-        a.multiplySlices(x, y, cut[tid], cut[tid + 1]);
-    });
-}
-
-FusedStepKernel::FusedStepKernel(const sparse::Bcsr3Matrix &a,
-                                 parallel::WorkerPool &pool)
-    : a_(a), pool_(pool),
-      cut_(balancedRowCuts(a.xadj(), a.numBlockRows(), kChunks)),
-      partials_(static_cast<std::size_t>(kChunks) * kPartialsStride)
-{
-}
-
-sparse::StepPartials
-FusedStepKernel::step(const sparse::StepUpdate &su) const
-{
-    QUAKE_EXPECT(su.u != nullptr && su.up != nullptr &&
-                     su.f != nullptr && su.invMass != nullptr,
-                 "fused step update has unbound field pointers");
-
-    su_arg_ = &su;
-    pool_.run([this](int tid) {
-        const int workers = pool_.size();
-        for (int c = tid; c < kChunks; c += workers) {
-            sparse::StepPartials &slot =
-                partials_[static_cast<std::size_t>(c) * kPartialsStride];
-            slot = sparse::StepPartials{};
-            a_.multiplyRowsFusedStep(*su_arg_, cut_[c], cut_[c + 1],
-                                     slot);
-        }
-    });
-    su_arg_ = nullptr;
-
-    // Ascending-chunk combine over the fixed grid: identical for every
-    // pool size, including 1.
-    sparse::StepPartials out;
-    for (int c = 0; c < kChunks; ++c)
-        out.combine(
-            partials_[static_cast<std::size_t>(c) * kPartialsStride]);
-    return out;
 }
 
 KernelSuite::KernelSuite(const mesh::TetMesh &mesh,
@@ -189,12 +35,30 @@ KernelSuite::KernelSuite(const mesh::TetMesh &mesh,
 {
 }
 
-parallel::WorkerPool &
-KernelSuite::poolFor() const
+void
+KernelSuite::multiply(Kernel kernel, const double *x, double *y) const
 {
-    if (!pool_)
-        pool_ = std::make_unique<parallel::WorkerPool>(threads_);
-    return *pool_;
+    switch (kernel) {
+      case Kernel::kCsr:
+        sparse::smvpCsr(csr_, x, y);
+        return;
+      case Kernel::kBcsr3:
+        sparse::smvpBcsr3(bcsr_, x, y);
+        return;
+      case Kernel::kSym:
+        sparse::smvpSym(sym_, x, y);
+        return;
+      case Kernel::kSymBcsr3:
+        sym_bcsr_.multiply(x, y);
+        return;
+      case Kernel::kSlicedEll3:
+        ell_.multiply(x, y);
+        return;
+      case Kernel::kSymBcsr3Simd:
+        sym_bcsr_.multiplySimd(x, y);
+        return;
+    }
+    QUAKE_PANIC("unknown kernel");
 }
 
 std::vector<double>
@@ -203,45 +67,8 @@ KernelSuite::run(Kernel kernel, const std::vector<double> &x) const
     QUAKE_EXPECT(static_cast<std::int64_t>(x.size()) == dof(),
                  "x has " << x.size() << " entries, expected " << dof());
     std::vector<double> y(x.size());
-    switch (kernel) {
-      case Kernel::kCsr:
-        sparse::smvpCsr(csr_, x.data(), y.data());
-        break;
-      case Kernel::kBcsr3:
-        sparse::smvpBcsr3(bcsr_, x.data(), y.data());
-        break;
-      case Kernel::kSym:
-        sparse::smvpSym(sym_, x.data(), y.data());
-        break;
-      case Kernel::kThreaded:
-        smvpThreaded(bcsr_, x.data(), y.data(), poolFor());
-        break;
-      case Kernel::kSymBcsr3:
-        sym_bcsr_.multiply(x.data(), y.data());
-        break;
-      case Kernel::kSymBcsr3Mt:
-        smvpSymBcsr3Threaded(sym_bcsr_, x.data(), y.data(), poolFor(),
-                             sym_scratch_);
-        break;
-      case Kernel::kSlicedEll3:
-        ell_.multiply(x.data(), y.data());
-        break;
-      case Kernel::kSlicedEll3Mt:
-        smvpSlicedEll3Threaded(ell_, x.data(), y.data(), poolFor());
-        break;
-      case Kernel::kSymBcsr3Simd:
-        sym_bcsr_.multiplySimd(x.data(), y.data());
-        break;
-    }
+    multiply(kernel, x.data(), y.data());
     return y;
-}
-
-void
-KernelSuite::setThreads(int num_threads)
-{
-    QUAKE_EXPECT(num_threads >= 0, "thread count must be nonnegative");
-    threads_ = num_threads;
-    pool_.reset(); // rebuilt at the new size on the next threaded call
 }
 
 KernelTiming
@@ -255,38 +82,7 @@ KernelSuite::measure(Kernel kernel, int repetitions) const
         v = rng.uniform(-1.0, 1.0);
     std::vector<double> y(x.size());
 
-    auto run_once = [&] {
-        switch (kernel) {
-          case Kernel::kCsr:
-            sparse::smvpCsr(csr_, x.data(), y.data());
-            break;
-          case Kernel::kBcsr3:
-            sparse::smvpBcsr3(bcsr_, x.data(), y.data());
-            break;
-          case Kernel::kSym:
-            sparse::smvpSym(sym_, x.data(), y.data());
-            break;
-          case Kernel::kThreaded:
-            smvpThreaded(bcsr_, x.data(), y.data(), poolFor());
-            break;
-          case Kernel::kSymBcsr3:
-            sym_bcsr_.multiply(x.data(), y.data());
-            break;
-          case Kernel::kSymBcsr3Mt:
-            smvpSymBcsr3Threaded(sym_bcsr_, x.data(), y.data(),
-                                 poolFor(), sym_scratch_);
-            break;
-          case Kernel::kSlicedEll3:
-            ell_.multiply(x.data(), y.data());
-            break;
-          case Kernel::kSlicedEll3Mt:
-            smvpSlicedEll3Threaded(ell_, x.data(), y.data(), poolFor());
-            break;
-          case Kernel::kSymBcsr3Simd:
-            sym_bcsr_.multiplySimd(x.data(), y.data());
-            break;
-        }
-    };
+    auto run_once = [&] { multiply(kernel, x.data(), y.data()); };
 
     run_once(); // warm the caches once, as a measurement would
 
@@ -343,7 +139,7 @@ KernelSuite::autotune(const std::vector<Kernel> &kernels,
 {
     // Discarded warm-up pass over every contender BEFORE any timed
     // measurement: without it, the first-measured kernel paid the
-    // cold-cache and pool-spin-up cost alone and could lose unfairly.
+    // cold-cache cost alone and could lose unfairly.
     for (Kernel kernel : kernels)
         (void)measure(kernel, 1);
     return selectBest(kernels, repetitions,

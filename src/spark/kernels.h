@@ -9,19 +9,21 @@
  * variant on the actual assembled matrix and reports the fastest, so
  * the §4 requirement projections can be driven by the tuned kernel
  * rather than a scalar baseline.
+ *
+ * Every kernel runs on one thread: the paper's T_f is the rate of one
+ * PE running its local SMVP.  Shared-memory parallelism is the
+ * one-PE-per-subdomain split of parallel::ParallelSmvp.
  */
 
 #ifndef QUAKE98_SPARK_KERNELS_H_
 #define QUAKE98_SPARK_KERNELS_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "mesh/soil_model.h"
 #include "mesh/tet_mesh.h"
-#include "parallel/worker_pool.h"
 #include "sparse/bcsr3_sym.h"
 #include "sparse/sliced_ell3.h"
 #include "sparse/smvp.h"
@@ -35,11 +37,8 @@ enum class Kernel
     kCsr,       ///< scalar CSR ("smv")
     kBcsr3,     ///< 3x3 block CSR ("smvb") — the natural Quake layout
     kSym,       ///< scalar symmetric half storage ("smvs")
-    kThreaded,  ///< row-partitioned shared-memory BCSR ("smvt")
     kSymBcsr3,  ///< register-blocked symmetric 3x3 BCSR
-    kSymBcsr3Mt, ///< threaded symmetric BCSR3, padded accumulators
     kSlicedEll3,   ///< sliced-ELLPACK 3x3, SIMD-dispatched (DESIGN §12)
-    kSlicedEll3Mt, ///< slice-partitioned threaded sliced-ELL
     kSymBcsr3Simd, ///< symmetric BCSR3 with the vectorized scatter
 };
 
@@ -48,9 +47,8 @@ std::string kernelName(Kernel kernel);
 
 /** All kernels, for iteration in tests and benches. */
 inline constexpr Kernel kAllKernels[] = {
-    Kernel::kCsr,        Kernel::kBcsr3,        Kernel::kSym,
-    Kernel::kThreaded,   Kernel::kSymBcsr3,     Kernel::kSymBcsr3Mt,
-    Kernel::kSlicedEll3, Kernel::kSlicedEll3Mt, Kernel::kSymBcsr3Simd};
+    Kernel::kCsr,      Kernel::kBcsr3,      Kernel::kSym,
+    Kernel::kSymBcsr3, Kernel::kSlicedEll3, Kernel::kSymBcsr3Simd};
 
 /** Measured sustained performance of one kernel. */
 struct KernelTiming
@@ -90,6 +88,14 @@ class KernelSuite
     /** Logical nonzeros (scalar entries of the full matrix). */
     std::int64_t nnz() const { return bcsr_.nnz(); }
 
+    /**
+     * y = K x with the chosen kernel, on the calling thread.  x and y
+     * hold dof() entries each; y is overwritten.  This is the suite's
+     * one kernel dispatch: run(), measure() and the T_f benches all
+     * go through it.
+     */
+    void multiply(Kernel kernel, const double *x, double *y) const;
+
     /** y = K x with the chosen kernel. */
     std::vector<double> run(Kernel kernel,
                             const std::vector<double> &x) const;
@@ -107,10 +113,10 @@ class KernelSuite
      * Measure every kernel variant on the assembled matrix and return
      * the fastest.  Before any timed measurement, every kernel gets one
      * discarded warm-up run, so the first-measured kernel does not pay
-     * the cold-cache/pool-spin-up cost the later ones skip.  Ties break
-     * by enum order, never by measurement order, so the verdict is
-     * independent of the order kernels are measured in.  This is how a
-     * host's honest T_f is obtained for the §4 requirement sweeps.
+     * the cold-cache cost the later ones skip.  Ties break by enum
+     * order, never by measurement order, so the verdict is independent
+     * of the order kernels are measured in.  This is how a host's
+     * honest T_f is obtained for the §4 requirement sweeps.
      */
     AutotuneResult autotune(int repetitions = 3) const;
 
@@ -139,113 +145,12 @@ class KernelSuite
     const sparse::SymBcsr3Matrix &symBcsr() const { return sym_bcsr_; }
     const sparse::SlicedEll3Matrix &slicedEll() const { return ell_; }
 
-    /**
-     * Worker threads for the threaded kernels (default: hardware).
-     * Setting a count discards the suite's persistent worker pool; the
-     * next threaded multiply creates one of the new size.
-     */
-    void setThreads(int num_threads);
-    int threads() const { return threads_; }
-
   private:
-    parallel::WorkerPool &poolFor() const;
-
     sparse::Bcsr3Matrix bcsr_;
     sparse::CsrMatrix csr_;
     sparse::SymCsrMatrix sym_;
     sparse::SymBcsr3Matrix sym_bcsr_;
     sparse::SlicedEll3Matrix ell_;
-    int threads_ = 0; ///< 0 = hardware concurrency
-
-    // Persistent pool + padded accumulator slab, created on first
-    // threaded multiply and reused across calls (the whole point of the
-    // engine work: no per-multiply thread spawns, no per-multiply
-    // allocation).  Mutable so run()/measure() stay const.
-    mutable std::unique_ptr<parallel::WorkerPool> pool_;
-    mutable std::vector<double> sym_scratch_;
-};
-
-/**
- * Row-partitioned shared-memory SMVP (the Spark98 "smvt" analogue):
- * block rows are split into nnz-balanced chunks, one pool worker per
- * chunk.  No reduction is needed — row partitioning writes disjoint
- * output ranges, so the result is bitwise identical to the sequential
- * BCSR3 kernel.
- */
-void smvpThreaded(const sparse::Bcsr3Matrix &a, const double *x, double *y,
-                  parallel::WorkerPool &pool);
-
-/**
- * Threaded symmetric BCSR3 SMVP.  The symmetric scatter writes y[col]
- * for off-diagonal blocks, so threads cannot share y: each worker
- * scatters into a private accumulator slab padded to a cache-line
- * multiple (no false sharing), and a second fork/join reduces the slabs
- * in ascending worker order — deterministic regardless of scheduling.
- *
- * @param scratch Persistent slab storage; resized (and zeroed) inside.
- */
-void smvpSymBcsr3Threaded(const sparse::SymBcsr3Matrix &a, const double *x,
-                          double *y, parallel::WorkerPool &pool,
-                          std::vector<double> &scratch);
-
-/**
- * Slice-partitioned threaded sliced-ELL SMVP: slices are split into
- * stored-block-balanced contiguous ranges, one pool worker per range.
- * Slices own disjoint lanes (and under the identity row map, disjoint y
- * rows), and each lane's accumulation order is fixed by the layout, so
- * the result is bitwise identical to the sequential sliced-ELL kernel
- * at every pool size.
- */
-void smvpSlicedEll3Threaded(const sparse::SlicedEll3Matrix &a,
-                            const double *x, double *y,
-                            parallel::WorkerPool &pool);
-
-/**
- * Pooled fused central-difference step over a full BCSR3 matrix (the
- * shared-memory analogue of ParallelSmvp::stepFused, without any
- * subdomain machinery): block rows are cut into a FIXED grid of
- * nnz-balanced chunks, each worker walks its chunks computing K u and
- * applying the step update row by row — no ku vector is ever
- * materialized.  Peak/energy partials accumulate per chunk (fixed row
- * order inside a chunk) into cache-line-padded slots and are combined
- * in ascending chunk order; because the chunk grid never depends on
- * the pool size, the reductions and the updated u are bitwise
- * identical for every thread count.
- *
- * Chunk cuts and partial slots are allocated once in the constructor;
- * step() performs no heap allocation (the pool dispatch captures only
- * `this`).  Matrix and pool must outlive the kernel.
- */
-class FusedStepKernel
-{
-  public:
-    FusedStepKernel(const sparse::Bcsr3Matrix &a,
-                    parallel::WorkerPool &pool);
-
-    /**
-     * One fused step: updates su.up in place and returns the
-     * deterministic peak/energy reductions over all DOFs.
-     */
-    sparse::StepPartials step(const sparse::StepUpdate &su) const;
-
-    /** Size of the fixed chunk grid. */
-    int chunks() const { return kChunks; }
-
-  private:
-    /** Fixed grid size — deliberately NOT a function of pool size. */
-    static constexpr int kChunks = 64;
-
-    /** StepPartials per 64-byte cache line: padding stride per chunk. */
-    static constexpr std::size_t kPartialsStride = 4;
-
-    const sparse::Bcsr3Matrix &a_;
-    parallel::WorkerPool &pool_;
-    std::vector<std::int64_t> cut_; ///< kChunks + 1 block-row cuts
-
-    // Reused across steps; mutable so step() stays const (the kernel is
-    // non-reentrant, like the rest of the engine layer).
-    mutable std::vector<sparse::StepPartials> partials_;
-    mutable const sparse::StepUpdate *su_arg_ = nullptr;
 };
 
 } // namespace quake::spark

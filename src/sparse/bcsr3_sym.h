@@ -76,9 +76,8 @@ class SymBcsr3Matrix
     /**
      * Scatter the contributions of block rows [row_begin, row_end) into
      * y WITHOUT zeroing it first: y[row] accumulates the row sweep and
-     * y[col] the transposed scatter.  This is the building block of the
-     * threaded symmetric kernel, where each thread owns a private
-     * (cache-line padded) accumulator that is reduced afterwards.
+     * y[col] the transposed scatter.  multiply() runs it over every
+     * block row after zeroing y.
      */
     void multiplyRowsScatter(const double *x, double *y,
                              std::int64_t row_begin,

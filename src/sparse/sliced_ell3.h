@@ -109,7 +109,7 @@ class SlicedEll3Matrix
      * Slot base of each slice (size numSlices() + 1, in block slots):
      * slice s holds slots [slice_base_[s], slice_base_[s+1]), width
      * (slice_base_[s+1] - slice_base_[s]) / sliceHeight().  Exposed for
-     * slot-balanced slice partitioning in the threaded kernel.
+     * the access-trace replay.
      */
     const std::vector<std::int64_t> &sliceBases() const
     {
@@ -143,9 +143,9 @@ class SlicedEll3Matrix
 
     /**
      * y = A x restricted to slices [slice_begin, slice_end) — the
-     * building block of the threaded kernel and the fused step.  Slices
-     * own disjoint lanes, so concurrent calls on disjoint slice ranges
-     * write disjoint rows.
+     * building block of multiply(), the fused step and the engine's
+     * per-slice sweep.  Slices own disjoint lanes, so concurrent calls
+     * on disjoint slice ranges write disjoint rows.
      */
     void multiplySlices(const double *x, double *y,
                         std::int64_t slice_begin,

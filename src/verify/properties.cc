@@ -145,8 +145,7 @@ struct StepFixture
 };
 
 // ---------------------------------------------------------------------------
-// Property: every kernel in the suite vs reference CSR, plus the
-// bitwise contracts of the threaded variants.
+// Property: every kernel in the suite vs reference CSR.
 // ---------------------------------------------------------------------------
 
 PropertyResult
@@ -167,25 +166,6 @@ propKernelDifferential(const TrialConfig &cfg)
                         " vs CSR: " + why);
     }
 
-    // kThreaded is row-partitioned over disjoint output ranges: bitwise
-    // identical to sequential BCSR3 at every thread count.
-    const std::vector<double> yb = suite.run(spark::Kernel::kBcsr3, x);
-    for (int t : cfg.threads)
-    {
-        suite.setThreads(t);
-        if (!bitwiseEqual(yb, suite.run(spark::Kernel::kThreaded, x)))
-            return fail("kThreaded != kBcsr3 bitwise at " +
-                        std::to_string(t) + " threads");
-        // The symmetric MT kernel reorders sums per thread count, but at
-        // a FIXED thread count it must be exactly deterministic.
-        const std::vector<double> y1 =
-            suite.run(spark::Kernel::kSymBcsr3Mt, x);
-        const std::vector<double> y2 =
-            suite.run(spark::Kernel::kSymBcsr3Mt, x);
-        if (!bitwiseEqual(y1, y2))
-            return fail("kSymBcsr3Mt not deterministic at " +
-                        std::to_string(t) + " threads");
-    }
     return ok();
 }
 
@@ -217,33 +197,14 @@ propSpdBlockDifferential(const TrialConfig &cfg)
     if (!withinMixedTolerance(ref, ys, kUlpBound, kRelEps, &why))
         return fail("sym bcsr3 vs csr: " + why);
 
-    for (int t : cfg.threads)
-    {
-        parallel::WorkerPool pool(t);
-        std::vector<double> y(static_cast<std::size_t>(a.numRows()));
-        spark::smvpThreaded(a, x.data(), y.data(), pool);
-        if (!bitwiseEqual(yb, y))
-            return fail("smvpThreaded != bcsr3 bitwise at " +
-                        std::to_string(t) + " threads");
-
-        std::vector<double> scratch;
-        std::vector<double> y1(static_cast<std::size_t>(a.numRows()));
-        std::vector<double> y2(static_cast<std::size_t>(a.numRows()));
-        spark::smvpSymBcsr3Threaded(s, x.data(), y1.data(), pool, scratch);
-        spark::smvpSymBcsr3Threaded(s, x.data(), y2.data(), pool, scratch);
-        if (!bitwiseEqual(y1, y2))
-            return fail("smvpSymBcsr3Threaded not deterministic at " +
-                        std::to_string(t) + " threads");
-        if (!withinMixedTolerance(ref, y1, kUlpBound, kRelEps, &why))
-            return fail("smvpSymBcsr3Threaded vs csr at " +
-                        std::to_string(t) + " threads: " + why);
-    }
     return ok();
 }
 
 // ---------------------------------------------------------------------------
 // Property: fused step == unfused SMVP + reference triad, bitwise, on
-// every fused backend (serial BCSR3, symmetric BCSR3, pooled kernel).
+// every serial fused backend (full BCSR3, symmetric BCSR3).  The
+// engine's fused step is checked across thread counts by
+// engine_bitwise and engine_hierarchy.
 // ---------------------------------------------------------------------------
 
 PropertyResult
@@ -294,36 +255,6 @@ propFusedVsUnfused(const TrialConfig &cfg)
     if (!withinMixedTolerance(upRef, upS, kUlpBound, kRelEps, &why))
         return fail("sym fused vs full fused: " + why);
 
-    // Pooled fused kernel: fixed 64-chunk grid, so u and partials are
-    // identical across thread counts; u also matches the unfused
-    // reference bitwise, while the chunk-grouped energy only has to be
-    // ULP-close to the serial triad's.
-    bool first = true;
-    sparse::StepPartials pFirst;
-    for (int t : cfg.threads)
-    {
-        parallel::WorkerPool pool(t);
-        const spark::FusedStepKernel kern(a, pool);
-        std::vector<double> upT = fx.up0;
-        const sparse::StepPartials pT = kern.step(fx.su(upT.data()));
-        if (!bitwiseEqual(upRef, upT))
-            return fail("FusedStepKernel u_{n+1} != unfused bitwise at " +
-                        std::to_string(t) + " threads");
-        if (first)
-        {
-            pFirst = pT;
-            first = false;
-        }
-        else if (!bitEq(pFirst.peak, pT.peak) ||
-                 !bitEq(pFirst.energy, pT.energy))
-        {
-            return fail("FusedStepKernel partials vary with thread count");
-        }
-        if (!bitEq(pRef.peak, pT.peak))
-            return fail("FusedStepKernel peak != reference");
-        if (!scalarClose(pRef.energy, pT.energy))
-            return fail("FusedStepKernel energy drifted from reference");
-    }
     return ok();
 }
 
@@ -476,12 +407,11 @@ pipelineFingerprint(const TrialConfig &cfg)
     h = hashBytes(sys.mesh.nodes().data(),
                   sys.mesh.nodes().size() * sizeof(mesh::Vec3), h);
 
-    spark::KernelSuite suite(sys.mesh, *sys.model);
-    suite.setThreads(2);
+    const spark::KernelSuite suite(sys.mesh, *sys.model);
     const std::vector<double> x = gen.randomVector(suite.dof());
     h = hashVec(x, h);
-    h = hashVec(suite.run(spark::Kernel::kSymBcsr3Mt, x), h);
-    h = hashVec(suite.run(spark::Kernel::kThreaded, x), h);
+    h = hashVec(suite.run(spark::Kernel::kSymBcsr3, x), h);
+    h = hashVec(suite.run(spark::Kernel::kBcsr3, x), h);
 
     const int parts = gen.randomPartCount(sys.mesh);
     const partition::Partition part = gen.randomPartition(sys.mesh, parts);
@@ -1394,21 +1324,6 @@ propSlicedEll3Differential(const TrialConfig &cfg)
     if (!bitEq(pRef.peak, pF.peak) || !bitEq(pRef.energy, pF.energy))
         return fail("sliced-ELL fused partials != reference bitwise");
 
-    // The slice-partitioned threaded kernel writes disjoint output rows,
-    // so it is bitwise identical to the serial sliced-ELL kernel at
-    // every thread count.
-    spark::KernelSuite suite(sys.mesh, *sys.model);
-    const std::vector<double> xs = gen.randomVector(suite.dof());
-    const std::vector<double> ySerial =
-        suite.run(spark::Kernel::kSlicedEll3, xs);
-    for (int t : cfg.threads)
-    {
-        suite.setThreads(t);
-        if (!bitwiseEqual(ySerial,
-                          suite.run(spark::Kernel::kSlicedEll3Mt, xs)))
-            return fail("kSlicedEll3Mt != serial sliced-ELL bitwise at " +
-                        std::to_string(t) + " threads");
-    }
     return ok();
 }
 
@@ -1875,16 +1790,15 @@ allProperties()
 {
     static const std::vector<Property> kProps = {
         {"kernel_differential",
-         "every KernelSuite kernel vs reference CSR, ULP-bounded; "
-         "threaded kernels bitwise/deterministic",
+         "every KernelSuite kernel vs reference CSR, ULP-bounded",
          propKernelDifferential},
         {"spd_block_differential",
-         "random SPD block matrices through BCSR3, symmetric, and "
-         "threaded paths",
+         "random SPD block matrices through the BCSR3 and symmetric "
+         "paths",
          propSpdBlockDifferential},
         {"fused_vs_unfused",
-         "fused step == unfused SMVP + reference triad, bitwise, on all "
-         "fused backends",
+         "fused step == unfused SMVP + reference triad, bitwise, on the "
+         "serial fused backends",
          propFusedVsUnfused},
         {"engine_bitwise",
          "ParallelSmvp bitwise invariant across 1/2/4/8 threads and "
@@ -1926,7 +1840,7 @@ allProperties()
          propCheckpointKillResume},
         {"sliced_ell3_differential",
          "sliced-ELL conversion round-trips BCSR3 at every slice "
-         "height; multiply matches CSR; MT and fused paths bitwise",
+         "height; multiply matches CSR; fused path bitwise",
          propSlicedEll3Differential},
         {"engine_backend_ell",
          "distributed sliced-ELL backend bitwise invariant across "

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the fused zero-copy time-stepping pipeline (DESIGN.md §8):
- * every fused backend (sequential BCSR3, symmetric BCSR3, the pooled
- * spark kernel, and the distributed two-phase engine) must produce a
+ * every fused backend (sequential BCSR3, symmetric BCSR3, and the
+ * distributed two-phase engine) must produce a
  * displacement history bitwise identical to the unfused SMVP + reference
  * triad of the same operator, across thread counts, exchange modes, and
  * damping settings; the fused peak/energy reductions must be bitwise
@@ -24,7 +24,6 @@
 #include "quake/time_stepper.h"
 #include "sparse/assembly.h"
 #include "sparse/bcsr3_sym.h"
-#include "spark/kernels.h"
 
 namespace
 {
@@ -34,7 +33,6 @@ using namespace quake::mesh;
 using quake::common::FatalError;
 namespace sparse = quake::sparse;
 namespace parallel = quake::parallel;
-namespace spark = quake::spark;
 
 /** A mesh/model pair with its assembled operator and step size. */
 struct System
@@ -189,50 +187,6 @@ TEST(FusedSymmetric, BitwiseMatchesUnfusedSymmetricKernel)
         });
     expectBitwiseHistory(runHistory(unfused, 250), runHistory(fused, 250),
                          "symmetric");
-}
-
-// ------------------------------------------------------ pooled spark kernel
-
-TEST(FusedPooledKernel, BitwiseAcrossThreadCounts)
-{
-    const System sys = latticeSystem();
-    SmvpFn smvp = [&sys](const std::vector<double> &x,
-                         std::vector<double> &y) {
-        sys.k.multiply(x.data(), y.data());
-    };
-    ExplicitTimeStepper unfused = makeStepper(sys, smvp, 0.0);
-    const auto reference = runHistory(unfused, 250);
-    const double ref_peak = unfused.peakDisplacement();
-    const double ref_energy = unfused.kineticEnergy();
-
-    double pooled_energy = 0.0;
-    bool first = true;
-    for (const int threads : {1, 2, 4}) {
-        parallel::WorkerPool pool(threads);
-        const spark::FusedStepKernel kernel(sys.k, pool);
-        EXPECT_EQ(kernel.chunks(), 64); // fixed grid, not pool-sized
-
-        ExplicitTimeStepper fused = makeStepper(sys, smvp, 0.0);
-        fused.setFusedStep([&kernel](const sparse::StepUpdate &su) {
-            return kernel.step(su);
-        });
-        expectBitwiseHistory(reference, runHistory(fused, 250), "pooled");
-
-        // Peak is an order-independent max of bitwise-identical values,
-        // so it matches the serial reference exactly.  Energy sums are
-        // associated per chunk, so they are bitwise identical across
-        // thread counts (the grid is fixed) but only close to the
-        // serial single-chain sum.
-        EXPECT_EQ(fused.peakDisplacement(), ref_peak);
-        EXPECT_NEAR(fused.kineticEnergy(), ref_energy,
-                    1e-12 * (1.0 + ref_energy));
-        if (first) {
-            pooled_energy = fused.kineticEnergy();
-            first = false;
-        } else {
-            EXPECT_EQ(fused.kineticEnergy(), pooled_energy);
-        }
-    }
 }
 
 // --------------------------------------------------- distributed fused step

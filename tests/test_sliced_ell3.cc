@@ -3,8 +3,7 @@
  * Tests for the sliced-ELLPACK-3x3 format (DESIGN.md §12): conversion
  * edge cases (empty rows, single-tet meshes, row-length skew, slice
  * height 1), exact round-trip against the source BCSR3, the fused-step
- * bitwise contract, the threaded kernel's bitwise equality with the
- * serial one, and the engine-level backend knob.
+ * bitwise contract, and the engine-level backend knob.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 #include "common/rng.h"
 #include "mesh/generator.h"
 #include "quake/simulation.h"
-#include "spark/kernels.h"
 #include "sparse/assembly.h"
 #include "sparse/bcsr3_sym.h"
 #include "sparse/sliced_ell3.h"
@@ -296,23 +294,6 @@ TEST(SlicedEll3, RejectsInvalidSliceHeight)
     EXPECT_THROW(SlicedEll3Matrix::fromBcsr3(a).multiply(
                      std::vector<double>(3, 0.0)),
                  FatalError);
-}
-
-TEST(SlicedEll3, ThreadedKernelBitwiseEqualsSerial)
-{
-    const GeneratedMesh generated = generateSfMesh(SfClass::kSf20);
-    const LayeredBasinModel model;
-    quake::spark::KernelSuite suite(generated.mesh, model);
-    const std::vector<double> x = randomVector(suite.dof(), 53);
-
-    const std::vector<double> serial =
-        suite.run(quake::spark::Kernel::kSlicedEll3, x);
-    for (int t : {1, 2, 4, 8}) {
-        suite.setThreads(t);
-        EXPECT_EQ(serial,
-                  suite.run(quake::spark::Kernel::kSlicedEll3Mt, x))
-            << t << " threads";
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -137,12 +137,11 @@ TEST_F(SuiteTest, EveryKernelVariantAgreesWithCsr)
 TEST(KernelEquivalence, AllVariantsAgreeOnGradedSfMesh)
 {
     // A graded (non-uniform) mesh: node degrees vary, which exercises
-    // the nnz-balanced chunking and the symmetric scatter paths harder
+    // the sliced-ELL padding and the symmetric scatter paths harder
     // than a lattice does.
     const GeneratedMesh generated = generateSfMesh(SfClass::kSf20);
     const LayeredBasinModel model;
-    KernelSuite suite(generated.mesh, model);
-    suite.setThreads(3);
+    const KernelSuite suite(generated.mesh, model);
 
     std::vector<double> x(static_cast<std::size_t>(suite.dof()));
     quake::common::SplitMix64 rng(90210);
@@ -157,29 +156,6 @@ TEST(KernelEquivalence, AllVariantsAgreeOnGradedSfMesh)
                         1e-9 * (1.0 + std::fabs(y_ref[i])))
                 << kernelName(k) << " dof " << i;
     }
-}
-
-TEST(KernelEquivalence, ThreadedVariantsAreBitwiseStable)
-{
-    // The padded-scratch scatter and the row-split kernel must be
-    // bitwise reproducible call over call (fixed reduction order),
-    // and the row-split kernel must equal its sequential twin exactly.
-    const TetMesh m =
-        buildKuhnLattice(Aabb{{0, 0, 0}, {1, 1, 1}}, 4, 4, 4);
-    const UniformModel model(Aabb{{0, 0, 0}, {1, 1, 1}}, 1.0, 1.0);
-    KernelSuite suite(m, model);
-    suite.setThreads(4);
-
-    std::vector<double> x(static_cast<std::size_t>(suite.dof()));
-    quake::common::SplitMix64 rng(1234);
-    for (double &v : x)
-        v = rng.uniform(-1, 1);
-
-    EXPECT_EQ(suite.run(Kernel::kThreaded, x),
-              suite.run(Kernel::kBcsr3, x));
-    const std::vector<double> y_mt = suite.run(Kernel::kSymBcsr3Mt, x);
-    for (int rep = 0; rep < 5; ++rep)
-        EXPECT_EQ(suite.run(Kernel::kSymBcsr3Mt, x), y_mt);
 }
 
 TEST_F(SuiteTest, AutotunePicksAMeasuredKernel)
@@ -218,7 +194,7 @@ TEST(Autotune, VerdictIndependentOfMeasurementOrder)
 
     std::vector<Kernel> order = {Kernel::kCsr, Kernel::kBcsr3,
                                  Kernel::kSym, Kernel::kSlicedEll3,
-                                 Kernel::kSymBcsr3Mt};
+                                 Kernel::kSymBcsr3Simd};
     std::sort(order.begin(), order.end());
     do {
         const AutotuneResult r =

@@ -35,7 +35,9 @@
 // ---------------------------------------------------------------------
 // Global allocation hook (same pattern as test_telemetry.cc): counts
 // every operator-new so the telemetry-transparency property can assert
-// its traced steady state allocates nothing.
+// its traced steady state allocates nothing.  The replaced deletes are
+// noinline: inlined into a new-expression's cleanup, their std::free
+// trips GCC's -Wmismatched-new-delete.
 // ---------------------------------------------------------------------
 
 namespace
@@ -59,25 +61,25 @@ operator new[](std::size_t size)
     return operator new(size);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);
